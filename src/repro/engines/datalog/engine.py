@@ -347,14 +347,14 @@ class DatalogEngine:
 
         The delta-tracking counterpart of ``reset()`` + ``run()``: the IDB
         relations are snapshotted first and diffed after, so callers that
-        must observe changes (standing queries crossing a bulk-ingest
-        sentinel or a parameter rebind) get the same exact
+        must observe changes (standing queries crossing a bulk ingest, a
+        change-log gap or a parameter rebind) get the same exact
         :class:`~repro.engines.datalog.ivm.MaintenanceReport` the
         incremental path produces.  ``fallback=True`` counts the event in
         ``full_rederive_count`` — pass it when this re-derivation replaces
-        a derivation that should have been maintainable (a bulk-ingest
-        sentinel crossed a standing query); a chosen cold path (first
-        derivation, binding change) leaves the counter untouched.
+        a derivation that should have been maintainable (a bulk ingest or
+        a change-log gap crossed a standing query); a chosen cold path
+        (first derivation, binding change) leaves the counter untouched.
         """
         return self._rederive_with_report(
             {}, {}, fallback=fallback, parameters=parameters

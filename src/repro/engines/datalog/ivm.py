@@ -514,11 +514,12 @@ class IncrementalMaintainer:
             # Union state: retracted rows come back for the duration of the
             # maintenance pass, so candidate generation sees old ∪ new and
             # the old/new distinction reduces to delta-set membership per
-            # row.
+            # row.  The round trip changes nothing, so it is transient: it
+            # stays out of the store's change log.
             with store.batch():
                 for relation, rows in del_delta.items():
                     for row in rows:
-                        if store.add(relation, row):
+                        if store.transient_add(relation, row):
                             readded.append((relation, row))
             for stratum in self._strata:
                 if not stratum.infos:

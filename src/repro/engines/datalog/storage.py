@@ -44,6 +44,7 @@ from __future__ import annotations
 import abc
 import os
 import threading
+from bisect import bisect_left
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -119,13 +120,30 @@ class StoreBackend(abc.ABC):
         """Remove ``row`` if present; return ``True`` when it was removed.
 
         The return value is the *effective* delta (used by subsumption and
-        by the session's mutation log feeding incremental maintenance):
-        removing an absent row returns ``False`` and changes nothing.
+        by the change log feeding incremental maintenance): removing an
+        absent row returns ``False`` and changes nothing.
         """
 
     @abc.abstractmethod
     def replace(self, name: str, rows: Iterable[Row]) -> None:
         """Replace the whole relation with ``rows``."""
+
+    #: the backend's change log, when it keeps one (see changes_since)
+    _changelog: Optional["RelationChangeLog"] = None
+
+    def transient_add(self, name: str, row: Row) -> bool:
+        """Insert ``row`` until the next plain :meth:`remove` of it (the IVM
+        union state).  The round trip changes nothing, so the change log
+        keeps it out of the history, and the relation reports no version or
+        delta while the row is in."""
+        log = self._changelog
+        if log is None:
+            return self.add(name, row)
+        log.hold(name, row)
+        if self.add(name, row):
+            return True
+        log.release(name, row)
+        return False
 
     # -- indexed access ----------------------------------------------------
 
@@ -397,26 +415,40 @@ class RelationChangeLog:
     produced) and answer :meth:`changes_since` by netting the suffix newer
     than the requested version.  The log is a cache, not a ledger: it keeps
     at most :attr:`LIMIT` entries per relation and records how far back it
-    is complete (``floor``), answering ``None`` beyond that — the columnar
-    executor then falls back to a full re-encode, so truncation can never
-    produce a wrong delta.  Batched writes share one version (the stores
-    bump once per effective batch), so trimming always drops whole version
-    groups: a retained version's delta is never half-reported.
+    is complete (``floor``), answering ``None`` beyond that — readers then
+    rebuild from a scan, so truncation can never produce a wrong delta.
+    Batched writes share one version (the stores bump once per effective
+    batch), so trimming always drops whole version groups: a retained
+    version's delta is never half-reported.
+
+    :meth:`changes_since` bisects to the suffix it nets.  Trimming only
+    advances a logical start offset; the dead prefix is deleted once it is
+    as long as the live part, so appends stay amortised O(1).  A *held*
+    row (:meth:`StoreBackend.transient_add`) records neither its add nor
+    its remove; while one is held, its relation matches no version.
     """
 
     LIMIT = 1024
 
     def __init__(self) -> None:
-        # relation -> [(version, row, +1 | -1)], oldest first
+        # relation -> [(version, row, +1 | -1)], oldest first; entries
+        # before _start[relation] are trimmed and awaiting compaction
         self._entries: Dict[str, List[Tuple[int, Row, int]]] = defaultdict(list)
+        self._start: Dict[str, int] = defaultdict(int)
         # relation -> oldest version changes_since() can still answer for
         self._floor: Dict[str, int] = defaultdict(int)
+        # relation -> rows on a transient round trip (never empty)
+        self._held: Dict[str, Set[Row]] = {}
 
     def record(self, name: str, version: int, row: Row, sign: int) -> None:
         """Append one effective change made at ``version``."""
+        if self._held and row in self._held.get(name, ()):
+            if sign < 0:  # the round trip is over
+                self.release(name, row)
+            return
         log = self._entries[name]
         log.append((version, row, sign))
-        if len(log) > self.LIMIT:
+        if len(log) - self._start[name] > self.LIMIT:
             self._trim(name)
 
     def record_many(
@@ -430,35 +462,62 @@ class RelationChangeLog:
             return
         log = self._entries[name]
         log.extend((version, row, sign) for row in rows)
-        if len(log) > self.LIMIT:
+        if len(log) - self._start[name] > self.LIMIT:
             self._trim(name)
+
+    def hold(self, name: str, row: Row) -> None:
+        """Keep ``row``'s next add and remove out of the history."""
+        self._held.setdefault(name, set()).add(row)
+
+    def release(self, name: str, row: Row) -> None:
+        held = self._held[name]
+        held.discard(row)
+        if not held:
+            del self._held[name]
+
+    def holds(self, name: str) -> bool:
+        """Whether ``name`` is mid-way through a transient round trip."""
+        return name in self._held
 
     def reset(self, name: str, version: int) -> None:
         """Forget the history of ``name`` (wholesale replace/clear)."""
         self._entries[name] = []
+        self._start[name] = 0
         self._floor[name] = version
+        self._held.pop(name, None)
 
     def _trim(self, name: str) -> None:
         log = self._entries[name]
-        drop = len(log) - self.LIMIT
-        cut_version = log[drop - 1][0]
+        end = len(log)
+        start = end - self.LIMIT
+        cut_version = log[start - 1][0]
         # Drop whole version groups: every entry at the cut version goes
         # too, so any version the log still answers for is fully covered.
-        while drop < len(log) and log[drop][0] == cut_version:
-            drop += 1
-        del log[:drop]
+        # (A linear step, not a bisect: groups are usually one entry, and
+        # the start only moves forward, so the scan is amortised O(1).)
+        while start < end and log[start][0] == cut_version:
+            start += 1
         self._floor[name] = cut_version
+        if start >= end - start:
+            del log[:start]
+            start = 0
+        self._start[name] = start
 
     def changes_since(
         self, name: str, version: int
     ) -> Optional[Tuple[List[Row], List[Row]]]:
-        """Net the entries newer than ``version``; ``None`` past the floor."""
-        if version < self._floor[name]:
+        """Net the entries newer than ``version``; ``None`` past the floor
+        or while ``name`` holds a row."""
+        if version < self._floor[name] or name in self._held:
             return None
+        log = self._entries[name]
+        # ``(version + 1,)`` sorts after every older entry and before every
+        # newer one without comparing rows
+        first = bisect_left(log, (version + 1,), lo=self._start[name])
         net: Dict[Row, int] = {}
-        for entry_version, row, sign in self._entries[name]:
-            if entry_version > version:
-                net[row] = net.get(row, 0) + sign
+        for index in range(first, len(log)):
+            _, row, sign = log[index]
+            net[row] = net.get(row, 0) + sign
         added = [row for row, sign in net.items() if sign > 0]
         removed = [row for row, sign in net.items() if sign < 0]
         return added, removed
@@ -613,8 +672,9 @@ class FactStore(StoreBackend):
                 index.clear()
 
     def data_version(self, name: str) -> Optional[int]:
-        """Per-relation change counter, bumped only on effective mutations."""
-        return self._versions[name]
+        """Per-relation change counter, bumped only on effective mutations
+        (``None`` during a transient round trip)."""
+        return None if self._changelog.holds(name) else self._versions[name]
 
     def changes_since(
         self, name: str, version: int

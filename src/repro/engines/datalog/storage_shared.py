@@ -7,17 +7,22 @@ deltas under a single-writer lock and bump a global **epoch**; readers
 ``pin()`` the current epoch and receive an :class:`EpochSnapshot` that keeps
 answering with the pinned state no matter how many writes land afterwards.
 
-The representation is the session delta log generalised into a per-epoch
-chain: the base store materialises the state as of a **floor** epoch, and
-every later epoch contributes one list of ``(relation, row, ±1)`` entries.
-A snapshot at epoch ``E`` reads "base ± net delta over ``(floor, E]``" — the
-net delta is folded once at pin time (with add/remove cancellation, the same
-arithmetic as the session's ``_fold_delta``) and is immutable afterwards, so
-snapshot reads take no locks.  When nothing is pinned, the chain prefix is
-folded into the base store (bounded by the positions of registered
-*consumers* — serving workers that still need the entries to feed
-incremental view maintenance), so the read fast path stays "delegate to the
-base store" and memory stays bounded.
+The base store materialises the state as of a **floor** epoch, and every
+later epoch contributes one list of ``(relation, row, ±1)`` entries to a
+per-epoch chain.  A snapshot at epoch ``E`` reads "base ± net delta over
+``(floor, E]``" — the net delta is folded once at pin time (with add/remove
+cancellation) and is immutable afterwards, so snapshot reads take no locks.
+Whenever nothing is pinned the whole chain is folded into the base store,
+so the read fast path stays "delegate to the base store" and memory stays
+bounded.
+
+The chain is the not-yet-folded tail of the base store's change log:
+folding writes each entry through ``base.add``/``base.remove``, each of
+which bumps the relation's ``data_version`` by one.  A snapshot's version
+of ``r`` is the base version plus ``r``'s chain entries up to the pinned
+epoch (so folding never moves it), and its ``changes_since`` — which
+serving workers maintain from — nets the base log's answer with that
+tail.  A reader behind the base log's floor gets ``None`` and re-derives.
 
 :class:`SnapshotView` is the per-worker adapter: a full ``StoreBackend``
 that routes shared-EDB reads through a pinned snapshot while keeping every
@@ -33,7 +38,6 @@ serialised through one base mutex; the in-memory store needs none.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -49,13 +53,26 @@ from repro.engines.datalog.storage import (
     create_store,
 )
 
-#: one effective mutation: ``(relation, row, +1 | -1)`` — the session delta
-#: log entry shape, so chain suffixes feed ``Session`` logs verbatim.
+#: one effective mutation: ``(relation, row, +1 | -1)``
 Entry = Tuple[str, Row, int]
 
 #: net delta of one relation versus the base floor: ``(added, removed)``
 #: with ``added`` disjoint from the base and ``removed`` a subset of it.
 NetPair = Tuple[Set[Row], Set[Row]]
+
+
+def _net_entry(pair: NetPair, row: Row, sign: int) -> None:
+    """Fold one effective change into a net pair (opposite changes cancel)."""
+    added, removed = pair
+    if sign > 0:
+        if row in removed:
+            removed.discard(row)
+        else:
+            added.add(row)
+    elif row in added:
+        added.discard(row)
+    else:
+        removed.add(row)
 
 
 def _key_matches(row: Row, positions: Sequence[int], key: Key) -> bool:
@@ -75,38 +92,29 @@ class SharedEDB:
     ----------
     store:
         The base backend (any :func:`create_store` spec or instance).  Data
-        already in it is the state at epoch 0.
-    max_log_entries:
-        Soft bound on the delta chain.  When the chain exceeds it and no
-        reader is pinned, the chain is folded into the base even past
-        lagging consumers — those consumers then get ``None`` from
-        :meth:`delta_entries` and fall back to full re-derivation.
+        already in it is the state at epoch 0 and version 0.
     """
 
-    def __init__(self, store: StoreSpec = None, *, max_log_entries: int = 100_000) -> None:
+    def __init__(self, store: StoreSpec = None) -> None:
         base = create_store(store)
         self._base = base
         self._base_mutex: Optional[threading.RLock] = (
             None if base.concurrent_reads else threading.RLock()
         )
         #: guards every piece of mutable metadata below (writes, pins,
-        #: consumer positions, net-delta cache, folding) — never held
-        #: during snapshot reads
+        #: net-delta cache, folding) — never held during snapshot reads
         self._lock = threading.RLock()
         self._epoch = 0
         self._floor = 0
         self._chain: List[Tuple[int, List[Entry]]] = []
         self._chain_len = 0
         self._pins: Dict[int, int] = {}
-        self._consumers: Dict[int, int] = {}
-        self._consumer_seq = 0
-        self._net_cache: Dict[int, Dict[str, NetPair]] = {}
+        self._net_cache: Dict[int, Tuple[Dict[str, NetPair], Dict[str, int]]] = {}
         self._known: Set[str] = set(base.relation_names())
-        #: per-relation sorted epochs (> floor) at which the relation changed
-        self._touches: Dict[str, List[int]] = {}
-        #: per-relation count of change epochs already folded into the base
-        self._touch_base: Dict[str, int] = {}
-        self.max_log_entries = max_log_entries
+        # base versions at construction: shared versions count from 0 there
+        self._origin: Dict[str, int] = {
+            name: base.data_version(name) or 0 for name in self._known
+        }
         self.write_count = 0
         self.fold_count = 0
 
@@ -151,6 +159,17 @@ class SharedEDB:
         with self._guard():
             return self._base.relation_stats(name)
 
+    def base_data_version(self, name: str) -> Optional[int]:
+        with self._guard():
+            version = self._base.data_version(name)
+        return None if version is None else version - self._origin.get(name, 0)
+
+    def base_changes_since(
+        self, name: str, version: int
+    ) -> Optional[Tuple[List[Row], List[Row]]]:
+        with self._guard():
+            return self._base.changes_since(name, version + self._origin.get(name, 0))
+
     # -- write side ---------------------------------------------------------
 
     def ingest(self, facts: Mapping[str, Iterable[Row]]) -> int:
@@ -179,7 +198,7 @@ class SharedEDB:
         epoch.
         """
         with self._lock:
-            net = self._net_at(self._epoch)
+            net = self._net_at(self._epoch)[0]
             # visibility overlay for rows touched earlier in this same batch
             overlay: Dict[str, Dict[Row, bool]] = {}
 
@@ -218,13 +237,10 @@ class SharedEDB:
                 self._epoch += 1
                 self._chain.append((self._epoch, entries))
                 self._chain_len += len(entries)
-                touched_relations = {relation for relation, _, _ in entries}
-                for relation in touched_relations:
-                    self._touches.setdefault(relation, []).append(self._epoch)
-                self._known.update(touched_relations)
+                self._known.update(relation for relation, _, _ in entries)
                 self.write_count += 1
                 if not self._pins:
-                    self._maybe_fold()
+                    self._fold()
             return inserted, retracted, self._epoch
 
     # -- read side ----------------------------------------------------------
@@ -243,9 +259,9 @@ class SharedEDB:
         this state until :meth:`EpochSnapshot.release`."""
         with self._lock:
             epoch = self._epoch
-            net = self._net_at(epoch)
+            net, offsets = self._net_at(epoch)
             self._pins[epoch] = self._pins.get(epoch, 0) + 1
-            return EpochSnapshot(self, epoch, net)
+            return EpochSnapshot(self, epoch, net, offsets)
 
     def _unpin(self, epoch: int) -> None:
         with self._lock:
@@ -255,146 +271,87 @@ class SharedEDB:
             else:
                 self._pins.pop(epoch, None)
                 if not self._pins:
-                    self._maybe_fold()
+                    self._fold()
 
     def pinned_epochs(self) -> Dict[int, int]:
         """Return ``{epoch: pin count}`` (diagnostics)."""
         with self._lock:
             return dict(self._pins)
 
-    def version_at(self, name: str, epoch: int) -> int:
-        """Monotone per-relation change counter as of ``epoch`` — the number
-        of epochs ``<= epoch`` that changed ``name``.  Folding preserves the
-        total, so this is a valid ``data_version`` for snapshot readers."""
-        # Lock-free: callers hold a pin, which blocks folding; a writer
-        # appending an epoch > `epoch` does not change the bisect result.
-        count = self._touch_base.get(name, 0)
-        touches = self._touches.get(name)
-        if touches:
-            count += bisect_right(touches, epoch)
-        return count
-
-    # -- IVM feed (serving workers) ------------------------------------------
-
-    def register_consumer(self) -> int:
-        """Register a delta consumer starting at the current epoch; entries
-        above its position are retained across folds.  Returns a token."""
-        with self._lock:
-            token = self._consumer_seq
-            self._consumer_seq += 1
-            self._consumers[token] = self._epoch
-            return token
-
-    def set_consumed(self, token: int, epoch: int) -> None:
-        """Record that consumer ``token`` has folded deltas up to ``epoch``."""
-        with self._lock:
-            if token in self._consumers and epoch > self._consumers[token]:
-                self._consumers[token] = epoch
-
-    def drop_consumer(self, token: int) -> None:
-        with self._lock:
-            self._consumers.pop(token, None)
-
-    def delta_entries(self, since: int, upto: Optional[int] = None) -> Optional[List[Entry]]:
-        """Effective entries for epochs in ``(since, upto]`` in commit order,
-        or ``None`` when the chain was folded past ``since`` (the caller
-        must fall back to full re-derivation)."""
-        with self._lock:
-            if upto is None:
-                upto = self._epoch
-            if since < self._floor:
-                return None
-            out: List[Entry] = []
-            for epoch, entries in self._chain:
-                if epoch <= since:
-                    continue
-                if epoch > upto:
-                    break
-                out.extend(entries)
-            return out
-
     # -- folding -------------------------------------------------------------
 
     def compact(self) -> bool:
-        """Fold the foldable chain prefix into the base store now.
+        """Fold the chain into the base store now.
 
         Returns ``True`` when the floor advanced; a pinned reader (which the
         fold would invalidate) makes this a no-op returning ``False``.
+        Writes and the last release already fold whenever nothing is
+        pinned, so this rarely finds work.
         """
         with self._lock:
             if self._pins:
                 return False
             floor_before = self._floor
-            self._maybe_fold()
+            self._fold()
             return self._floor > floor_before
 
-    def _maybe_fold(self) -> None:
+    def _fold(self) -> None:
         # caller holds self._lock and has checked there are no pins
         if not self._chain:
             return
-        if self._chain_len > self.max_log_entries:
-            target = self._epoch  # overflow: laggard consumers lose retention
-        else:
-            target = self._epoch
-            if self._consumers:
-                target = min(target, min(self._consumers.values()))
-        if target <= self._floor:
-            return
-        folded: List[Entry] = []
-        kept: List[Tuple[int, List[Entry]]] = []
-        for epoch, entries in self._chain:
-            if epoch <= target:
-                folded.extend(entries)
-            else:
-                kept.append((epoch, entries))
         with self._guard():
             with self._base.batch():
-                for relation, row, sign in folded:
-                    if sign > 0:
-                        self._base.add(relation, row)
-                    else:
-                        self._base.remove(relation, row)
-        for relation, touches in list(self._touches.items()):
-            cut = bisect_right(touches, target)
-            if cut:
-                self._touch_base[relation] = self._touch_base.get(relation, 0) + cut
-                del touches[:cut]
-                if not touches:
-                    del self._touches[relation]
-        self._chain = kept
-        self._chain_len = sum(len(entries) for _, entries in kept)
-        self._floor = target
+                for _, entries in self._chain:
+                    for relation, row, sign in entries:
+                        if sign > 0:
+                            self._base.add(relation, row)
+                        else:
+                            self._base.remove(relation, row)
+        self._chain = []
+        self._chain_len = 0
+        self._floor = self._epoch
         self._net_cache.clear()
         self.fold_count += 1
 
-    def _net_at(self, epoch: int) -> Dict[str, NetPair]:
+    def _net_at(self, epoch: int) -> Tuple[Dict[str, NetPair], Dict[str, int]]:
+        """Return the net delta over ``(floor, epoch]`` and, per relation,
+        how many chain entries that span holds (the version offset over
+        the base store)."""
         # caller holds self._lock
-        net = self._net_cache.get(epoch)
-        if net is not None:
-            return net
+        cached = self._net_cache.get(epoch)
+        if cached is not None:
+            return cached
         staged: Dict[str, NetPair] = {}
+        counts: Dict[str, int] = {}
         for entry_epoch, entries in self._chain:
             if entry_epoch > epoch:
                 break
             for relation, row, sign in entries:
-                added, removed = staged.setdefault(relation, (set(), set()))
-                if sign > 0:
-                    if row in removed:
-                        removed.discard(row)
-                    else:
-                        added.add(row)
-                else:
-                    if row in added:
-                        added.discard(row)
-                    else:
-                        removed.add(row)
+                counts[relation] = counts.get(relation, 0) + 1
+                _net_entry(staged.setdefault(relation, (set(), set())), row, sign)
         net = {relation: pair for relation, pair in staged.items() if pair[0] or pair[1]}
         if len(self._net_cache) > 32:
             for cached in list(self._net_cache):
                 if cached not in self._pins and cached != self._epoch:
                     del self._net_cache[cached]
-        self._net_cache[epoch] = net
-        return net
+        self._net_cache[epoch] = (net, counts)
+        return net, counts
+
+    def chain_delta(self, name: str, pair: NetPair, skip: int, epoch: int) -> NetPair:
+        """Net ``name``'s chain entries up to ``epoch``, past its first
+        ``skip``, into ``pair``.  Lock-free under a pin at ``epoch``: the pin
+        blocks folding, and a writer only appends later epochs."""
+        for entry_epoch, entries in self._chain:
+            if entry_epoch > epoch:
+                break
+            for relation, row, sign in entries:
+                if relation != name:
+                    continue
+                if skip:
+                    skip -= 1
+                    continue
+                _net_entry(pair, row, sign)
+        return pair
 
     # -- lifecycle / diagnostics ---------------------------------------------
 
@@ -405,7 +362,6 @@ class SharedEDB:
                 "floor": self._floor,
                 "chain_entries": self._chain_len,
                 "pins": sum(self._pins.values()),
-                "consumers": dict(self._consumers),
                 "write_count": self.write_count,
                 "fold_count": self.fold_count,
                 "base": type(self._base).__name__,
@@ -424,12 +380,20 @@ class EpochSnapshot:
     effectiveness probes — cannot run while this snapshot holds its pin).
     """
 
-    __slots__ = ("_shared", "epoch", "_net", "_released")
+    __slots__ = ("_shared", "epoch", "_net", "_offsets", "_released")
 
-    def __init__(self, shared: SharedEDB, epoch: int, net: Dict[str, NetPair]) -> None:
+    def __init__(
+        self,
+        shared: SharedEDB,
+        epoch: int,
+        net: Dict[str, NetPair],
+        offsets: Dict[str, int],
+    ) -> None:
         self._shared = shared
         self.epoch = epoch
         self._net = net
+        #: per relation, the chain entries up to ``epoch`` (not yet folded)
+        self._offsets = offsets
         self._released = False
 
     def release(self) -> None:
@@ -503,8 +467,36 @@ class EpochSnapshot:
             return self._shared.base_relation_stats(name)
         return compute_stats(self.scan(name))
 
-    def data_version(self, name: str) -> int:
-        return self._shared.version_at(name, self.epoch)
+    def data_version(self, name: str) -> Optional[int]:
+        base = self._shared.base_data_version(name)
+        if base is None:
+            return None
+        return base + self._offsets.get(name, 0)
+
+    def changes_since(
+        self, name: str, version: int
+    ) -> Optional[Tuple[List[Row], List[Row]]]:
+        """Net ``(added, removed)`` rows of ``name`` between ``version`` and
+        this snapshot: the base log's answer netted with the chain tail up
+        to the pinned epoch.  ``None`` past the base log's floor, and for a
+        ``version`` newer than this snapshot (another reader's later pin)."""
+        base = self._shared.base_data_version(name)
+        if base is None:
+            return None
+        current = base + self._offsets.get(name, 0)
+        if version > current:
+            return None
+        # the first ``skip`` chain entries of ``name`` are already in ``version``
+        skip = version - base
+        pair: NetPair = (set(), set())
+        if skip < 0:
+            changes = self._shared.base_changes_since(name, version)
+            if changes is None:
+                return None
+            pair = (set(changes[0]), set(changes[1]))
+            skip = 0
+        added, removed = self._shared.chain_delta(name, pair, skip, self.epoch)
+        return list(added), list(removed)
 
 
 class SnapshotView(StoreBackend):
@@ -534,7 +526,6 @@ class SnapshotView(StoreBackend):
         self._masked: Dict[str, Set[Row]] = {}
         self._patched: Set[str] = set()
         self._snap: Optional[EpochSnapshot] = None
-        self._consumer = shared.register_consumer()
 
     # -- read-window lifecycle ----------------------------------------------
 
@@ -555,17 +546,6 @@ class SnapshotView(StoreBackend):
     @property
     def pinned_epoch(self) -> Optional[int]:
         return self._snap.epoch if self._snap is not None else None
-
-    def delta_since(self, epoch: int) -> Optional[List[Entry]]:
-        """Shared-EDB entries between ``epoch`` and the pinned epoch, or
-        ``None`` when that span was folded away."""
-        snap = self._snapshot()
-        return self._shared.delta_entries(epoch, snap.epoch)
-
-    def mark_consumed(self, epoch: int) -> None:
-        """Tell the shared store this worker has folded deltas up to
-        ``epoch`` (releases chain retention)."""
-        self._shared.set_consumed(self._consumer, epoch)
 
     def _snapshot(self) -> EpochSnapshot:
         snap = self._snap
@@ -729,6 +709,15 @@ class SnapshotView(StoreBackend):
             return None  # patched: disable executor-level caching outright
         return self._snapshot().data_version(name)
 
+    def changes_since(
+        self, name: str, version: int
+    ) -> Optional[Tuple[List[Row], List[Row]]]:
+        if not self._is_shared(name):
+            return self._local.changes_since(name, version)
+        if name in self._patched:
+            return None
+        return self._snapshot().changes_since(name, version)
+
     def cache_identity(self, name: str) -> Tuple[int, object]:
         if self._is_shared(name) and name not in self._patched:
             # all workers' views share one encoding of a clean shared relation
@@ -739,4 +728,3 @@ class SnapshotView(StoreBackend):
 
     def close(self) -> None:
         self.end_read()
-        self._shared.drop_consumer(self._consumer)

@@ -493,8 +493,9 @@ class SQLiteFactStore(StoreBackend):
         return stats
 
     def data_version(self, name: str) -> Optional[int]:
-        """Per-relation change counter, bumped only on effective mutations."""
-        return self._versions[name]
+        """Per-relation change counter, bumped only on effective mutations
+        (``None`` during a transient round trip)."""
+        return None if self._changelog.holds(name) else self._versions[name]
 
     def changes_since(
         self, name: str, version: int

@@ -151,8 +151,8 @@ class _StandingQuery:
 
     Owns a dedicated :class:`~repro.session.PreparedQuery` so subscriber
     state can never be clobbered by the caller running the same query with
-    other bindings.  ``sync()`` on the prepared query pins the session's
-    delta log and reads deltas off maintenance reports.
+    other bindings.  ``sync()`` on the prepared query reads the EDB delta
+    off the store's change log and result deltas off maintenance reports.
     """
 
     def __init__(
@@ -203,7 +203,7 @@ class _StandingQuery:
         return self.columns
 
     def close(self) -> None:
-        """Release the dedicated prepared query's log pin and IDB rows."""
+        """Untrack the dedicated prepared query and drop its IDB rows."""
         session = self.manager._session
         session._unregister_prepared(self.prepared)
         for relation in self.prepared.idb_relations:

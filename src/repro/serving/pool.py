@@ -26,9 +26,9 @@ arriving after a mutation never reuses a pre-mutation execution.
 
 **Mutations** go through :meth:`ServingPool.mutate` straight into the shared
 store (single-writer, epoch bump).  Workers discover the new epoch at their
-next request, feed the delta-chain suffix into their session's log, and the
-prepared queries maintain incrementally — O(|delta|) per worker, zero full
-re-derivations on the streaming path.
+next request, and the prepared queries read the delta off the pinned
+snapshot's change log (``changes_since``) and maintain incrementally —
+O(|delta|) per worker, zero full re-derivations on the streaming path.
 
 **Subscriptions** ride the same machinery: :meth:`ServingPool.subscribe`
 routes a ``(statement, binding)`` to a worker by the same affinity map and
@@ -115,7 +115,7 @@ class _Worker:
             namespace=f"w{index}",
             **pool._engine_options,
         )
-        #: shared epoch already folded into the session's delta log
+        #: shared epoch the worker session last caught up to
         self.synced_epoch = pool._shared.epoch
         #: statement name -> (statement version, PreparedQuery)
         self.prepared: Dict[str, Tuple[int, PreparedQuery]] = {}
@@ -463,10 +463,11 @@ class ServingPool:
         """Ask every subscription-owning worker to catch up and deliver.
 
         Called by :meth:`mutate` after each effective batch (and by the
-        optional ticker): the worker syncs the shared delta chain into its
-        session, whose reactive layer flushes the standing queries and
-        fires the listeners.  Idempotent per epoch — a worker that is
-        already current delivers nothing.  Returns the worker count poked.
+        optional ticker): the worker syncs its session to the shared
+        epoch, and the session's reactive layer flushes the standing
+        queries and fires the listeners.  Idempotent per epoch — a worker
+        that is already current delivers nothing.  Returns the worker count
+        poked.
         """
         with self._dispatch_lock:
             if self._closed:
@@ -494,8 +495,8 @@ class ServingPool:
         def control() -> None:
             worker.view.begin_read()
             try:
-                # The sync feeds the session's delta log; the session's
-                # reactive auto-flush then delivers inside this read span.
+                # The session's reactive auto-flush delivers inside this
+                # read span.
                 self._sync_worker(worker)
             finally:
                 worker.view.end_read()
@@ -527,27 +528,26 @@ class ServingPool:
                 self._finish(task, response, None)
 
     def _sync_worker(self, worker: _Worker) -> int:
-        """Fold the shared delta chain into the worker's session log.
+        """Tell the worker's session that the shared EDB moved.
 
         Caller must hold a ``begin_read`` span.  Prepared queries then
-        maintain incrementally on their next run, and the session's
-        reactive layer flushes (delivering subscription notifications)
-        before this returns.  Idempotent per epoch.
+        read the delta off the pinned snapshot's change log and maintain
+        incrementally on their next run, and the session's reactive layer
+        flushes (delivering subscription notifications) before this
+        returns.  Idempotent per epoch.
         """
         epoch = worker.view.pinned_epoch
         if epoch != worker.synced_epoch:
-            entries = worker.view.delta_since(worker.synced_epoch)
-            # Stamp the target epoch before folding: subscription listeners
-            # fire *during* the fold (auto-flush) and tag their deltas with
-            # the shared epoch the worker is syncing to.
+            # Stamp the target epoch first: subscription listeners fire
+            # *during* the sync (auto-flush) and tag their deltas with the
+            # shared epoch the worker is syncing to.
             previous = worker.synced_epoch
             worker.synced_epoch = epoch
             try:
-                worker.session.sync_external_mutations(entries)
+                worker.session.sync_external_mutations()
             except BaseException:
                 worker.synced_epoch = previous
                 raise
-            worker.view.mark_consumed(epoch)
         return epoch
 
     def _execute(self, worker: _Worker, task: _QueryTask) -> ServedResponse:

@@ -19,12 +19,15 @@ Soufflé's separation of program compilation from fact loading):
   closures and relation statistics are reused across calls with different
   arguments — a warm run performs **zero** fact re-ingest, **zero** index
   rebuilds and **zero** plan recompiles;
-* :meth:`Session.insert` / :meth:`Session.retract` mutate the shared EDB and
-  log the *effective* per-row delta; on its next run each prepared query
-  folds the rows logged since its last derivation and hands them to the
-  engine's incremental maintainer (:mod:`repro.engines.datalog.ivm`), so
-  mutation cost scales with |Δ|, not |IDB| — programs the maintainer cannot
-  handle fall back transparently to mark-dirty + full re-derivation.
+* :meth:`Session.insert` / :meth:`Session.retract` mutate the shared EDB;
+  on its next run each prepared query reads the net row delta of every EDB
+  relation it reads off the store's change log
+  (:meth:`~repro.engines.datalog.storage.StoreBackend.changes_since` since
+  the ``data_version`` it last derived at) and hands it to the engine's
+  incremental maintainer (:mod:`repro.engines.datalog.ivm`), so mutation
+  cost scales with |Δ|, not |IDB| — programs the maintainer cannot handle,
+  and spans the log no longer covers, fall back to a counted full
+  re-derivation.
 
 The lifecycle::
 
@@ -60,14 +63,6 @@ from repro.engines.result import QueryResult
 
 FactsInput = Mapping[str, Iterable[Tuple]]
 ParamValues = Mapping[str, object]
-
-#: a delta-log entry: ``(relation, row, +1 | -1)``; the sentinel
-#: ``_BULK_MUTATION`` marks a bulk ingest whose per-row delta was not
-#: tracked, forcing consumers behind it onto the full re-derivation path
-_BULK_MUTATION: Tuple[Optional[str], Optional[Tuple], int] = (None, None, 0)
-
-#: delta-log length beyond which fully-consumed prefixes are compacted
-_DELTA_LOG_COMPACT_THRESHOLD = 256
 
 #: engines :meth:`Session.execute` can route to ("auto" picks the Datalog
 #: engine, the only backend whose capability check never rejects a query)
@@ -174,6 +169,14 @@ class PreparedQuery:
             **session.engine_options,
         )
         self._idb_relations = frozenset(self._program.idb_names())
+        #: the extensional relations the program reads — the ones whose
+        #: change-log deltas feed incremental maintenance
+        self._edb_reads = frozenset(
+            relation
+            for rule in self._program.rules
+            for relation in rule.referenced_relations()
+            if relation not in self._idb_relations
+        )
         #: the (namespaced) relation :meth:`run` returns rows of — the one
         #: whose delta :meth:`sync` and subscriptions report
         outputs = self._program.outputs
@@ -186,9 +189,10 @@ class PreparedQuery:
         self._derived = False
         self._last_params: Optional[Dict[str, object]] = None
         self._mutation_epoch = -1
-        #: position in the session's delta log up to which this query's
-        #: derivation is current (``None`` until the first derivation)
-        self._delta_pos: Optional[int] = None
+        #: ``data_version`` of each read EDB relation, and the session's
+        #: ``ingest_count``, as of the last derivation
+        self._edb_versions: Dict[str, Optional[int]] = {}
+        self._ingest_count = -1
         session._register_prepared(self)
         #: wall-clock seconds of the most recent :meth:`run`
         self.last_run_seconds = 0.0
@@ -355,8 +359,13 @@ class PreparedQuery:
                 self._engine.run()
             self._derived = True
             self._last_params = dict(params)
-        self._mutation_epoch = self._session.mutation_epoch
-        self._delta_pos = self._session._log_position()
+        session = self._session
+        self._mutation_epoch = session.mutation_epoch
+        self._ingest_count = session.ingest_count
+        store = session.store
+        self._edb_versions = {
+            relation: store.data_version(relation) for relation in self._edb_reads
+        }
         return report
 
     def _maintain_incrementally(self, params: Dict[str, object]):
@@ -364,23 +373,36 @@ class PreparedQuery:
         engine's incremental maintainer.
 
         Only applicable when the previous derivation exists, used the same
-        binding, and every mutation since is covered by the session's
-        per-row delta log (a bulk :meth:`Session.ingest` is not).  Returns
-        the engine's :class:`~repro.engines.datalog.ivm.MaintenanceReport`
-        when the derived relations were brought current, ``None`` when the
-        caller must take the cold path.
+        binding, no bulk :meth:`Session.ingest` landed since, and the
+        store's change log still covers every read relation's span.
+        Returns the engine's
+        :class:`~repro.engines.datalog.ivm.MaintenanceReport` when the
+        derived relations were brought current, ``None`` when the caller
+        must take the cold path.
         """
+        session = self._session
         if not (
-            self._session._ivm
+            session._ivm
             and self._derived
             and self._last_params == params
-            and self._delta_pos is not None
+            and self._ingest_count == session.ingest_count
         ):
             return None
-        delta = self._session._fold_delta(self._delta_pos)
-        if delta is None:
-            return None
-        added, removed = delta
+        store = session.store
+        added: Dict[str, set] = {}
+        removed: Dict[str, set] = {}
+        for relation, version in self._edb_versions.items():
+            if version is None:
+                return None
+            if store.data_version(relation) == version:
+                continue
+            delta = store.changes_since(relation, version)
+            if delta is None:
+                return None
+            if delta[0]:
+                added[relation] = set(delta[0])
+            if delta[1]:
+                removed[relation] = set(delta[1])
         return self._engine.maintain(added, removed)
 
 
@@ -423,15 +445,10 @@ class Session:
         self.engine_options = dict(engine_options)
         self.engine_options.setdefault("ivm", True)
         self._ivm = bool(self.engine_options["ivm"])
-        # Append-only log of effective EDB row mutations ``(relation, row,
-        # ±1)``; each prepared query remembers the position its derivation
-        # is current at and folds the suffix on its next run.  Consumed
-        # prefixes are compacted away in _note_mutation().
-        self._delta_log: List[Tuple[Optional[str], Optional[Tuple], int]] = []
-        self._delta_log_offset = 0
         self._all_prepared: List[PreparedQuery] = []
         #: how many times the session ingested an EDB fact batch (the warm
-        #: path asserts this stays at 1)
+        #: path asserts this stays at 1); prepared queries re-derive after
+        #: an ingest instead of maintaining through it
         self.ingest_count = 0
         #: bumped by every insert()/retract(); prepared queries compare it
         #: to decide whether their derived result is stale
@@ -479,8 +496,8 @@ class Session:
         """Bulk-load extensional facts into the shared store (one batch).
 
         Like :meth:`insert`, an ingest is a mutation: every prepared
-        query's derived result is marked stale and lazily re-derived on its
-        next run.
+        query's derived result is marked stale and lazily re-derived in
+        full (not maintained) on its next run.
         """
         self._check_open()
         for relation in facts:
@@ -489,10 +506,6 @@ class Session:
         with self._store.batch():
             for relation, rows in facts.items():
                 self._store.add_many(relation, (tuple(row) for row in rows))
-        # Bulk loads skip per-row delta tracking (that is what makes them
-        # fast); the sentinel forces every consumer behind this point onto
-        # the full re-derivation path once.
-        self._delta_log.append(_BULK_MUTATION)
         self._note_mutation()
 
     # -- preparing and executing queries -----------------------------------
@@ -645,11 +658,11 @@ class Session:
         """Insert extensional facts; returns how many were new.
 
         Derived results are not touched here — each prepared query notices
-        the bumped mutation epoch on its next run and folds the logged
-        per-row delta into its engine's incremental maintainer (falling
+        the bumped mutation epoch on its next run and folds the store's
+        change-log delta into its engine's incremental maintainer (falling
         back to a full re-derivation when the program is unmaintainable).
-        Already-present rows change nothing and are not logged: the delta
-        log records *effective* mutations only.
+        Already-present rows change nothing: the store logs *effective*
+        mutations only.
         """
         self._check_open()
         self._check_extensional(relation)
@@ -659,14 +672,13 @@ class Session:
                 row = tuple(row)
                 if self._store.add(relation, row):
                     added += 1
-                    self._delta_log.append((relation, row, 1))
         self._note_mutation()
         return added
 
     def retract(self, relation: str, rows: Iterable[Tuple]) -> int:
         """Remove extensional facts; returns how many were present.
 
-        Absent rows are ignored (and not logged).  Retracting a row that
+        Absent rows are ignored.  Retracting a row that
         also supports a derived fact through a rule never over-deletes: the
         maintainer counts derivations per row (or re-derives, in recursive
         strata), so the derived fact survives as long as any support does.
@@ -679,37 +691,21 @@ class Session:
                 row = tuple(row)
                 if self._store.remove(relation, row):
                     removed += 1
-                    self._delta_log.append((relation, row, -1))
         self._note_mutation()
         return removed
 
-    def sync_external_mutations(
-        self,
-        entries: Optional[Iterable[Tuple[str, Tuple, int]]],
-    ) -> None:
-        """Fold EDB mutations applied *outside* this session into its log.
+    def sync_external_mutations(self) -> None:
+        """Note EDB mutations applied *outside* this session.
 
         The serving layer's workers share one epoch-versioned EDB: writes go
         through the shared store, not through :meth:`insert`/:meth:`retract`,
-        and each worker session learns about them here before its next read.
-        ``entries`` is the effective ``(relation, row, ±1)`` sequence — the
-        shared store's delta-chain suffix — which prepared queries then fold
-        into their engines' incremental maintainers exactly like native
-        session mutations.  ``None`` means the span is unknown (the chain
-        was compacted past this worker): the bulk sentinel is logged and
-        every prepared query re-derives once.  An empty sequence is a no-op.
+        and each worker session hears about them here before its next read.
+        This only bumps the mutation epoch (and flushes the reactive layer):
+        prepared queries read the delta itself off the store's change log,
+        exactly like native session mutations, and a query whose span the
+        log no longer covers re-derives once.
         """
         self._check_open()
-        if entries is None:
-            self._delta_log.append(_BULK_MUTATION)
-            self._note_mutation()
-            return
-        entries = list(entries)
-        if not entries:
-            return
-        self._delta_log.extend(
-            (relation, tuple(row), sign) for relation, row, sign in entries
-        )
         self._note_mutation()
 
     def _check_extensional(self, relation: str) -> None:
@@ -725,7 +721,6 @@ class Session:
 
     def _note_mutation(self) -> None:
         self.mutation_epoch += 1
-        self._compact_delta_log()
         # Secondary engines are full materialisations; rebuild them lazily.
         if self._sqlite_executor is not None:
             self._sqlite_executor.close()
@@ -776,73 +771,18 @@ class Session:
             query, callback, parameters=parameters, **bindings
         )
 
-    # -- the delta log -----------------------------------------------------
+    # -- prepared-query tracking --------------------------------------------
 
     def _register_prepared(self, prepared: PreparedQuery) -> None:
         self._all_prepared.append(prepared)
 
     def _unregister_prepared(self, prepared: PreparedQuery) -> None:
-        """Stop tracking ``prepared`` (a replaced serving statement): its
-        stale consumption position must no longer pin the delta log."""
+        """Stop tracking ``prepared`` (a replaced serving statement or a
+        closed standing query), so the session holds no reference to it."""
         try:
             self._all_prepared.remove(prepared)
         except ValueError:
             pass
-
-    def _log_position(self) -> int:
-        """Return the log position representing "current as of now"."""
-        return self._delta_log_offset + len(self._delta_log)
-
-    def _fold_delta(
-        self, position: int
-    ) -> Optional[Tuple[Dict[str, set], Dict[str, set]]]:
-        """Fold the log suffix since ``position`` into ``(added, removed)``.
-
-        Opposite mutations of the same row cancel (each entry is an
-        *effective* change, so an insert following a retract restores the
-        original row exactly).  Returns ``None`` when the suffix contains a
-        bulk-ingest sentinel or was compacted away — the caller must take
-        the full re-derivation path.
-        """
-        start = position - self._delta_log_offset
-        if start < 0:
-            return None
-        added: Dict[str, set] = {}
-        removed: Dict[str, set] = {}
-        for relation, row, sign in self._delta_log[start:]:
-            if sign == 0:
-                return None
-            if sign > 0:
-                rows = removed.get(relation)
-                if rows is not None and row in rows:
-                    rows.discard(row)
-                else:
-                    added.setdefault(relation, set()).add(row)
-            else:
-                rows = added.get(relation)
-                if rows is not None and row in rows:
-                    rows.discard(row)
-                else:
-                    removed.setdefault(relation, set()).add(row)
-        return added, removed
-
-    def _compact_delta_log(self) -> None:
-        """Drop the log prefix every prepared query has already consumed."""
-        if len(self._delta_log) < _DELTA_LOG_COMPACT_THRESHOLD:
-            return
-        end = self._log_position()
-        floor = min(
-            (
-                prepared._delta_pos
-                for prepared in self._all_prepared
-                if prepared._delta_pos is not None
-            ),
-            default=end,
-        )
-        drop = floor - self._delta_log_offset
-        if drop > 0:
-            del self._delta_log[:drop]
-            self._delta_log_offset = floor
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Tests for the epoch-versioned shared EDB (:mod:`storage_shared`).
 
 Three layers: direct :class:`SharedEDB` semantics (effective deltas, epoch
-pinning, folding and retention), the :class:`SnapshotView` adapter's patch
-semantics, and a hypothesis property drive proving snapshot isolation — a
-reader pinned at epoch ``E`` sees exactly the oracle state as of ``E`` no
-matter what later writes, folds, or other pins do — on both the in-memory
-and SQLite base backends.
+pinning, folding, and delta reads through the base store's change log), the
+:class:`SnapshotView` adapter's patch semantics, and a hypothesis property
+drive proving snapshot isolation — a reader pinned at epoch ``E`` sees
+exactly the oracle state as of ``E`` no matter what later writes, folds, or
+other pins do — on both the in-memory and SQLite base backends.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
-from repro.engines.datalog.storage import FactStore
+from repro.engines.datalog.storage import FactStore, RelationChangeLog
 from repro.engines.datalog.storage_shared import SharedEDB, SnapshotView
 from repro.engines.datalog.storage_sqlite import SQLiteFactStore
 
@@ -112,60 +112,50 @@ def test_fold_blocked_by_pins_and_resumes_after_release():
     shared.close()
 
 
-def test_consumer_positions_bound_folding():
+def test_folded_writes_stay_readable_through_the_base_log():
     shared = SharedEDB()
-    token = shared.register_consumer()  # at epoch 0
     shared.insert("r", [(1,)])
     shared.insert("r", [(2,)])
-    # the laggard consumer still needs epochs 1..2: nothing may fold
-    assert shared.compact() is False
-    assert shared.delta_entries(0) == [("r", (1,), 1), ("r", (2,), 1)]
-    shared.set_consumed(token, 1)
-    assert shared.compact() is True
-    assert shared.stats()["floor"] == 1
-    # entries above the floor survive; entries below it are gone
-    assert shared.delta_entries(1) == [("r", (2,), 1)]
-    assert shared.delta_entries(0) is None
-    shared.drop_consumer(token)
-    assert shared.compact() is True
-    assert shared.stats()["floor"] == 2
-    shared.close()
-
-
-def test_chain_overflow_drops_laggard_retention():
-    shared = SharedEDB(max_log_entries=4)
-    token = shared.register_consumer()
-    for value in range(8):
-        shared.insert("r", [(value,)])
-    # the chain blew past max_log_entries with no pins: folded past the
-    # laggard consumer (the floor advanced despite its position at 0)
+    # nothing pinned: every write folds straight into the base store
     stats = shared.stats()
-    assert stats["floor"] > 0
-    assert stats["chain_entries"] <= shared.max_log_entries
-    assert shared.delta_entries(0) is None  # laggard must fully re-derive
+    assert stats["floor"] == stats["epoch"] == 2
+    assert stats["chain_entries"] == 0
+    # a reader still at version 0 gets the exact delta from the base log
     snap = shared.pin()
-    assert snap.count("r") == 8
+    assert snap.data_version("r") == 2
+    assert snap.changes_since("r", 0) == ([(1,), (2,)], [])
+    assert snap.changes_since("r", 1) == ([(2,)], [])
+    # writes behind a pin stay in the chain; the pinned snapshot does not
+    # see them, a later one nets them with the base log
+    shared.insert("r", [(3,)])
+    shared.retract("r", [(1,)])
+    assert shared.compact() is False
+    later = shared.pin()
+    assert snap.changes_since("r", 0) == ([(1,), (2,)], [])
+    assert later.changes_since("r", 0) == ([(2,), (3,)], [])
+    assert later.changes_since("r", 3) == ([], [(1,)])
+    # a version newer than the snapshot cannot be rewound
+    assert snap.changes_since("r", later.data_version("r")) is None
     snap.release()
-    shared.drop_consumer(token)
+    later.release()
+    assert shared.compact() is False  # the last release already folded
+    assert shared.stats()["chain_entries"] == 0
     shared.close()
 
 
-def test_version_at_is_monotone_and_fold_invariant():
+def test_laggard_behind_base_log_floor_gets_none():
+    limit = RelationChangeLog.LIMIT
     shared = SharedEDB()
-    token = shared.register_consumer()  # parks the floor at epoch 0
-    shared.insert("a", [(1,)])          # epoch 1 touches a
-    shared.insert("b", [(1,)])          # epoch 2 touches b
-    shared.insert("a", [(2,)])          # epoch 3 touches a
-    assert shared.version_at("a", 0) == 0
-    assert shared.version_at("a", 1) == 1
-    assert shared.version_at("a", 2) == 1
-    assert shared.version_at("a", 3) == 2
-    assert shared.version_at("b", 3) == 1
-    before = shared.version_at("a", 3)
-    shared.drop_consumer(token)
-    assert shared.compact()
-    # folding preserves the count at epochs >= the new floor
-    assert shared.version_at("a", 3) == before
+    for value in range(limit + 8):
+        shared.insert("r", [(value,)])
+    # nothing pinned: the chain stays empty, the base log keeps its bound
+    assert shared.stats()["chain_entries"] == 0
+    snap = shared.pin()
+    assert snap.changes_since("r", 0) is None  # laggard must fully re-derive
+    recent = snap.data_version("r") - 1
+    assert snap.changes_since("r", recent) == ([(limit + 7,)], [])
+    assert snap.count("r") == limit + 8
+    snap.release()
     shared.close()
 
 
@@ -285,13 +275,13 @@ def test_view_rejects_replace_and_clear_of_shared_relations():
 def test_view_repin_advances_to_latest_epoch():
     shared, view = _make_view()
     first = view.pinned_epoch
+    version = view.data_version("shared_rel")
     shared.insert("shared_rel", [(3,)])
     assert view.count("shared_rel") == 2  # still pinned at the old epoch
     second = view.begin_read()
     assert second == first + 1
     assert view.count("shared_rel") == 3
-    assert view.delta_since(first) == [("shared_rel", (3,), 1)]
-    view.mark_consumed(second)
+    assert view.changes_since("shared_rel", version) == ([(3,)], [])
     view.close()
     shared.close()
 

@@ -258,6 +258,36 @@ def test_columnar_workers_share_relation_encodings(raqlet):
         assert pool._executor.store_encode_count == encodes_after_first
 
 
+def test_columnar_workers_advance_encodings_by_change_log(raqlet):
+    """Shared relations reach pool workers' columnar caches as deltas: on a
+    mutation stream, each fresh binding's derivation advances the cached
+    columns through the snapshot's ``changes_since`` instead of
+    re-encoding the mutated relations."""
+    pytest.importorskip("numpy")
+    facts = {name: list(rows) for name, rows in FACTS.items()}
+    oracle_facts = {name: list(rows) for name, rows in FACTS.items()}
+    with ServingPool(raqlet, facts, workers=2, executor="columnar") as pool:
+        pool.prepare("city", CITY_QUERY)
+        pool.run("city", personId=42)
+        executor = pool._executor
+        encodes = executor.store_encode_count
+        incremental = executor.columnar_incremental_encode_count
+        for step in range(6):
+            person = 50 + step
+            inserts = {
+                "Person": [(person, f"p{person}", "10.0.1.1")],
+                "Person_IS_LOCATED_IN_City": [(person, 1 + step % 2, 950 + step)],
+            }
+            pool.mutate(insert=inserts)
+            for relation, rows in inserts.items():
+                oracle_facts[relation].extend(rows)
+            assert pool.run("city", personId=person).row_set() == _oracle(
+                raqlet, oracle_facts, CITY_QUERY, {"personId": person}
+            )
+        assert executor.columnar_incremental_encode_count >= incremental + 6
+        assert executor.store_encode_count == encodes
+
+
 # -- lifecycle ----------------------------------------------------------------
 
 
